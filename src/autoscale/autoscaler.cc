@@ -184,7 +184,7 @@ FleetView Autoscaler::snapshot() const {
   view.idle_gpus = engine.idle_gpu_count();
   view.queue_len = engine.global_queue().size();
   view.in_flight = engine.in_flight();
-  view.local_pending = engine.local_queues().total_pending();
+  view.local_pending = engine.local_pending();
   view.min_gpus = config_.min_gpus;
   view.max_gpus = config_.max_gpus;
   return view;

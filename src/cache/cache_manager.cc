@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "datastore/keys.h"
 
 namespace gfaas::cache {
 
@@ -99,8 +98,7 @@ std::vector<ModelId> GpuCacheState::models() const {
   return out;
 }
 
-CacheManager::CacheManager(PolicyKind policy, datastore::KvStore* store)
-    : policy_(policy), store_(store) {}
+CacheManager::CacheManager(PolicyKind policy) : policy_(policy) {}
 
 void CacheManager::add_gpu(GpuId gpu, Bytes capacity) {
   GFAAS_CHECK(gpu.valid());
@@ -121,7 +119,6 @@ std::size_t CacheManager::gpu_count() const {
 void CacheManager::index_location(GpuId gpu, ModelId model) {
   GFAAS_CHECK(locations_[model.value()].insert(gpu.value()).second)
       << "location index out of sync for model " << model.value();
-  mirror_locations(model);
 }
 
 void CacheManager::deindex_location(GpuId gpu, ModelId model) {
@@ -129,7 +126,6 @@ void CacheManager::deindex_location(GpuId gpu, ModelId model) {
   GFAAS_CHECK(it != locations_.end() && it->second.erase(gpu.value()) == 1)
       << "location index out of sync for model " << model.value();
   if (it->second.empty()) locations_.erase(it);
-  mirror_locations(model);
 }
 
 void CacheManager::fence_gpu(GpuId gpu) {
@@ -154,9 +150,6 @@ void CacheManager::remove_gpu(GpuId gpu) {
   for (ModelId model : st.models()) GFAAS_CHECK(st.remove(model).ok());
   fenced_.erase(gpu.value());
   gpus_[static_cast<std::size_t>(gpu.value())] = nullptr;
-  if (store_ != nullptr) {
-    store_->put(datastore::keys::gpu_lru(gpu), "");
-  }
 }
 
 const GpuCacheState& CacheManager::state(GpuId gpu) const {
@@ -187,7 +180,6 @@ Status CacheManager::record_access(GpuId gpu, ModelId model) {
   Status s = mutable_state(gpu).touch(model);
   if (!s.ok()) return s;
   ++stats_.hits;
-  mirror_to_store(gpu);
   return Status::Ok();
 }
 
@@ -199,7 +191,6 @@ Status CacheManager::record_eviction(GpuId gpu, ModelId model) {
   Status s = mutable_state(gpu).remove(model);
   if (!s.ok()) return s;
   ++stats_.evictions;
-  mirror_to_store(gpu);
   // A fenced GPU's entries were already pulled from the location index.
   if (!is_fenced(gpu)) deindex_location(gpu, model);
   return Status::Ok();
@@ -211,7 +202,6 @@ Status CacheManager::record_insertion(GpuId gpu, ModelId model, Bytes size) {
   Status s = mutable_state(gpu).insert(model, size);
   if (!s.ok()) return s;
   ++stats_.misses;
-  mirror_to_store(gpu);
   index_location(gpu, model);
   return Status::Ok();
 }
@@ -233,21 +223,6 @@ Status CacheManager::unpin(GpuId gpu, ModelId model) {
   }
   st.unpin(model);
   return Status::Ok();
-}
-
-void CacheManager::mirror_to_store(GpuId gpu) {
-  if (store_ == nullptr) return;
-  std::vector<std::int64_t> ids;
-  for (ModelId m : state(gpu).eviction_order()) ids.push_back(m.value());
-  store_->put(datastore::keys::gpu_lru(gpu), datastore::keys::encode_id_list(ids));
-}
-
-void CacheManager::mirror_locations(ModelId model) {
-  if (store_ == nullptr) return;
-  std::vector<std::int64_t> ids;
-  for (GpuId g : locations(model)) ids.push_back(g.value());
-  store_->put(datastore::keys::model_locations(model),
-              datastore::keys::encode_id_list(ids));
 }
 
 }  // namespace gfaas::cache

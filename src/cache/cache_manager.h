@@ -9,9 +9,9 @@
 // those processes. Models currently running a request are pinned and
 // skipped by eviction planning.
 //
-// State is mirrored into the Datastore (gpu/<id>/lru and
-// model/<id>/locations) after every mutation, exactly the channel the
-// paper routes through etcd.
+// The paper's components swap LRU lists and model locations through etcd
+// (§III-E); here the Scheduler and GPU Managers share the manager's
+// address space and query it directly (state(), locations()).
 #pragma once
 
 #include <memory>
@@ -24,7 +24,6 @@
 #include "common/bytes.h"
 #include "common/id.h"
 #include "common/status.h"
-#include "datastore/kv_store.h"
 
 namespace gfaas::cache {
 
@@ -84,9 +83,7 @@ class GpuCacheState {
 
 class CacheManager {
  public:
-  // `store` receives LRU-list / location mirrors; may be null in unit
-  // tests that exercise the manager standalone.
-  CacheManager(PolicyKind policy, datastore::KvStore* store = nullptr);
+  explicit CacheManager(PolicyKind policy);
 
   // Registers a GPU's memory as a managed cache (called at cluster build,
   // or by the autoscaler when a cold-started GPU joins the fleet).
@@ -149,24 +146,21 @@ class CacheManager {
 
  private:
   GpuCacheState& mutable_state(GpuId gpu);
-  // Checked locations_ maintenance (insert/erase + datastore mirror); every
-  // index mutation funnels through these two.
+  // Checked locations_ maintenance; every index mutation funnels through
+  // these two.
   void index_location(GpuId gpu, ModelId model);
   void deindex_location(GpuId gpu, ModelId model);
-  void mirror_to_store(GpuId gpu);
-  void mirror_locations(ModelId model);
 
   PolicyKind policy_;
-  datastore::KvStore* store_;
   // Indexed by GpuId value; removed GPUs leave a null slot (ids are never
   // reused, matching ClusterStateIndex).
   std::vector<std::unique_ptr<GpuCacheState>> gpus_;
   // GPUs currently fenced for drain: excluded from locations_.
   std::set<std::int64_t> fenced_;
   // Global model -> holder-GPU index, maintained on insertion/eviction.
-  // Ordered by GPU id so enumerations (and the datastore mirror) match
-  // the ascending-id order a full GPU scan would produce. A model with no
-  // holders has no entry, making cached_anywhere() a pure lookup.
+  // Ordered by GPU id so enumerations match the ascending-id order a full
+  // GPU scan would produce. A model with no holders has no entry, making
+  // cached_anywhere() a pure lookup.
   std::unordered_map<std::int64_t, std::set<std::int64_t>> locations_;
   CacheStats stats_;
 };

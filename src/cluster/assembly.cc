@@ -14,7 +14,7 @@ ClusterAssembly::ClusterAssembly(sim::Executor* executor, const ClusterConfig& c
       << "node_specs must have 1 entry or one per node";
 
   store_ = std::make_unique<datastore::KvStore>(executor_);
-  cache_ = std::make_unique<cache::CacheManager>(config.cache_policy, store_.get());
+  cache_ = std::make_unique<cache::CacheManager>(config.cache_policy);
   registry_ = std::make_unique<models::ModelRegistry>(registry);
   oracle_ = std::make_unique<models::LatencyOracle>(*registry_, config.latency_alpha);
 
@@ -47,8 +47,8 @@ ClusterAssembly::ClusterAssembly(sim::Executor* executor, const ClusterConfig& c
     }
     domain_gpus_.push_back(std::move(domain_members));
     managers_.push_back(std::make_unique<GpuManager>(
-        NodeId(node), executor_, store_.get(), cache_.get(), registry_.get(),
-        oracle_.get(), node_gpus, config.execute_real_inference));
+        NodeId(node), executor_, cache_.get(), registry_.get(), oracle_.get(),
+        node_gpus, config.execute_real_inference));
     manager_ptrs.push_back(managers_.back().get());
   }
 
@@ -65,8 +65,8 @@ GpuId ClusterAssembly::add_gpu(const gpu::GpuSpec& spec) {
   gpus_.push_back(std::make_unique<gpu::VirtualGpu>(id, spec, links_.back().get()));
   cache_->add_gpu(id, gpus_.back()->memory_capacity());
   managers_.push_back(std::make_unique<GpuManager>(
-      NodeId(static_cast<std::int64_t>(managers_.size())), executor_, store_.get(),
-      cache_.get(), registry_.get(), oracle_.get(),
+      NodeId(static_cast<std::int64_t>(managers_.size())), executor_, cache_.get(),
+      registry_.get(), oracle_.get(),
       std::vector<gpu::VirtualGpu*>{gpus_.back().get()},
       config_.execute_real_inference));
   engine_->add_gpu(gpus_.back().get(), managers_.back().get());

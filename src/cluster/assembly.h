@@ -28,6 +28,9 @@ class ClusterAssembly {
                   const models::ModelRegistry& registry);
   ~ClusterAssembly();
 
+  // The store the faas/ layer (FaasCluster's Gateway and watchdog
+  // containers) writes to. The engine, Cache Manager and GPU Managers
+  // share state in memory and write nothing here.
   datastore::KvStore& datastore() { return *store_; }
   cache::CacheManager& cache() { return *cache_; }
   const cache::CacheManager& cache() const { return *cache_; }

@@ -99,6 +99,7 @@ void ClusterStateIndex::add_local_work(GpuId gpu, SimTime delta) {
 
 void ClusterStateIndex::add_local_request(GpuId gpu) {
   PerGpu& s = state(gpu);
+  ++local_pending_total_;
   if (++s.local_pending == 1 && s.idle && !s.fenced) {
     GFAAS_CHECK(serviceable_.emplace(s.dispatches, gpu.value()).second);
   }
@@ -108,6 +109,7 @@ void ClusterStateIndex::pop_local_request(GpuId gpu) {
   PerGpu& s = state(gpu);
   GFAAS_CHECK(s.local_pending > 0)
       << "local-queue count underflow on gpu " << gpu.value();
+  --local_pending_total_;
   if (--s.local_pending == 0 && s.idle && !s.fenced) {
     GFAAS_CHECK(serviceable_.erase({s.dispatches, gpu.value()}) == 1);
   }

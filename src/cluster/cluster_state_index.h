@@ -83,6 +83,9 @@ class ClusterStateIndex {
   SimTime committed_finish(GpuId gpu) const { return state(gpu).committed_finish; }
   SimTime local_work(GpuId gpu) const { return state(gpu).local_work; }
   std::int64_t local_pending(GpuId gpu) const { return state(gpu).local_pending; }
+  // Sum of local_pending over every GPU, kept as a running total so the
+  // engine's "is there any queued work" test does not scan the fleet.
+  std::size_t local_pending_total() const { return local_pending_total_; }
 
   // First GPU in idle order that is unfenced and has local-queue work
   // (invalid id if none): the serve-local target of Algorithm 1.
@@ -130,6 +133,7 @@ class ClusterStateIndex {
   // Subset of idle_ with local_pending > 0, same order.
   OrderedSet serviceable_;
   std::size_t schedulable_count_ = 0;
+  std::size_t local_pending_total_ = 0;
 };
 
 }  // namespace gfaas::cluster

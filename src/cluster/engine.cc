@@ -28,13 +28,18 @@ SchedulerEngine::SchedulerEngine(sim::Executor* executor, cache::CacheManager* c
     : executor_(executor),
       cache_(cache),
       oracle_(oracle),
-      gpus_(std::move(gpus)),
-      managers_(std::move(managers)),
       policy_(std::move(policy)),
-      local_queues_(gpus_.size()) {
+      local_queues_(gpus.size()) {
   GFAAS_CHECK(executor_ && cache_ && oracle_ && policy_);
-  GFAAS_CHECK(!gpus_.empty() && !managers_.empty());
-  for (const gpu::VirtualGpu* g : gpus_) index_.add_gpu(g->id());
+  GFAAS_CHECK(!gpus.empty() && !managers.empty());
+  for (const gpu::VirtualGpu* g : gpus) {
+    index_.add_gpu(g->id());
+    const auto owner =
+        std::find_if(managers.begin(), managers.end(),
+                     [g](const GpuManager* m) { return m->manages(g->id()); });
+    GFAAS_CHECK(owner != managers.end()) << "no manager for gpu " << g->id().value();
+    managers_.push_back(*owner);
+  }
 }
 
 SchedulerEngine::~SchedulerEngine() = default;
@@ -84,7 +89,7 @@ void SchedulerEngine::set_telemetry(telemetry::Telemetry* telemetry) {
     reg.gauge(names.queue_global)
         ->set(static_cast<double>(global_queue_.size()));
     reg.gauge(names.queue_local)
-        ->set(static_cast<double>(local_queues_.total_pending()));
+        ->set(static_cast<double>(index_.local_pending_total()));
     reg.gauge(names.in_flight)->set(static_cast<double>(in_flight_));
     reg.gauge(names.gpus_idle)->set(static_cast<double>(idle_gpu_count()));
     reg.gauge(names.gpus_schedulable)
@@ -98,11 +103,10 @@ void SchedulerEngine::set_telemetry(telemetry::Telemetry* telemetry) {
 }
 
 GpuManager& SchedulerEngine::manager_for(GpuId gpu) {
-  for (GpuManager* m : managers_) {
-    if (m->manages(gpu)) return *m;
-  }
-  GFAAS_CHECK(false) << "no manager for gpu " << gpu.value();
-  __builtin_unreachable();
+  const auto index = static_cast<std::size_t>(gpu.value());
+  GFAAS_CHECK(gpu.valid() && index < managers_.size())
+      << "no manager for gpu " << gpu.value();
+  return *managers_[index];
 }
 
 void SchedulerEngine::detach_hook(core::Request& request) {
@@ -128,11 +132,8 @@ void SchedulerEngine::submit(core::Request request) {
 void SchedulerEngine::add_gpu(gpu::VirtualGpu* gpu, GpuManager* manager) {
   serial_.AssertHeld();
   GFAAS_CHECK(gpu != nullptr && manager != nullptr && manager->manages(gpu->id()));
-  gpus_.push_back(gpu);
-  if (std::find(managers_.begin(), managers_.end(), manager) == managers_.end()) {
-    managers_.push_back(manager);
-  }
   index_.add_gpu(gpu->id());
+  managers_.push_back(manager);
   local_queues_.ensure_gpu_count(static_cast<std::size_t>(gpu->id().value()) + 1);
   // A scale-up during a backed-up queue must take effect immediately.
   run_policy();
@@ -527,7 +528,7 @@ void SchedulerEngine::run_policy() {
   if (policy_running_) return;
   policy_running_ = true;
   // Invoke when any idle GPU could take work (global or local queue).
-  const bool has_work = !global_queue_.empty() || local_queues_.total_pending() > 0;
+  const bool has_work = !global_queue_.empty() || index_.local_pending_total() > 0;
   if (has_work && index_.idle_count() > 0) {
     const std::size_t queue_len = global_queue_.size();
     ++policy_invocations_;

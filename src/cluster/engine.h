@@ -185,11 +185,17 @@ class SchedulerEngine final : public core::SchedulingContext {
   }
   std::size_t pending() const {
     serial_.AssertHeld();
-    return global_queue_.size() + local_queues_.total_pending() + in_flight_;
+    return global_queue_.size() + index_.local_pending_total() + in_flight_;
   }
   std::size_t in_flight() const {
     serial_.AssertHeld();
     return in_flight_;
+  }
+  // Requests parked in local queues: a running total, equal to
+  // local_queues().total_pending() without the per-GPU scan.
+  std::size_t local_pending() const {
+    serial_.AssertHeld();
+    return index_.local_pending_total();
   }
   std::int64_t false_misses() const {
     serial_.AssertHeld();
@@ -292,7 +298,8 @@ class SchedulerEngine final : public core::SchedulingContext {
   sim::Executor* executor_;
   cache::CacheManager* cache_;
   const models::LatencyOracle* oracle_;
-  std::vector<gpu::VirtualGpu*> gpus_;
+  // Owning GPU Manager of each GPU, indexed by GpuId value (ids are dense
+  // and never reused; a retired GPU keeps its slot).
   std::vector<GpuManager*> managers_;
   std::unique_ptr<core::SchedulingPolicy> policy_;
 

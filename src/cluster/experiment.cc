@@ -73,8 +73,10 @@ SimTime SimCluster::replay(const std::vector<core::Request>& requests) {
 
 SimTime SimCluster::replay(const std::vector<core::Request>& requests,
                            const std::function<void(core::Request)>& submit) {
+  // Events point into `requests`, which outlives the run below; the
+  // request is copied once, at submission.
   for (const core::Request& req : requests) {
-    simulator_->schedule_at(req.arrival, [&submit, req]() { submit(req); });
+    simulator_->schedule_at(req.arrival, [&submit, r = &req]() { submit(*r); });
   }
   simulator_->run();
   GFAAS_CHECK(engine().pending() == 0)

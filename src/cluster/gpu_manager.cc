@@ -4,25 +4,33 @@
 #include <cmath>
 
 #include "common/log.h"
-#include "datastore/keys.h"
 #include "tensor/dataset.h"
 
 namespace gfaas::cluster {
 
-GpuManager::GpuManager(NodeId node, sim::Executor* executor, datastore::KvStore* store,
-                       cache::CacheManager* cache, const models::ModelRegistry* registry,
+GpuManager::GpuManager(NodeId node, sim::Executor* executor, cache::CacheManager* cache,
+                       const models::ModelRegistry* registry,
                        const models::LatencyOracle* oracle,
                        std::vector<gpu::VirtualGpu*> gpus, bool execute_real_inference)
     : node_(node),
       executor_(executor),
-      store_(store),
       cache_(cache),
       registry_(registry),
       oracle_(oracle),
-      gpus_(std::move(gpus)),
       execute_real_(execute_real_inference) {
   GFAAS_CHECK(executor_ && cache_ && registry_ && oracle_);
-  GFAAS_CHECK(!gpus_.empty());
+  GFAAS_CHECK(!gpus.empty());
+  const auto [lo, hi] = std::minmax_element(
+      gpus.begin(), gpus.end(), [](const gpu::VirtualGpu* a, const gpu::VirtualGpu* b) {
+        return a->id() < b->id();
+      });
+  first_gpu_ = (*lo)->id().value();
+  gpus_.resize(static_cast<std::size_t>((*hi)->id().value() - first_gpu_ + 1), nullptr);
+  for (gpu::VirtualGpu* g : gpus) {
+    auto& slot = gpus_[static_cast<std::size_t>(g->id().value() - first_gpu_)];
+    GFAAS_CHECK(slot == nullptr) << "gpu " << g->id().value() << " listed twice";
+    slot = g;
+  }
 }
 
 namespace {
@@ -51,35 +59,23 @@ double GpuManager::slowdown(GpuId gpu) const {
   return it == slowdown_.end() ? 1.0 : it->second;
 }
 
-bool GpuManager::manages(GpuId gpu) const {
-  return std::any_of(gpus_.begin(), gpus_.end(),
-                     [&](const gpu::VirtualGpu* g) { return g->id() == gpu; });
+gpu::VirtualGpu* GpuManager::find_gpu(GpuId gpu) const {
+  const std::int64_t slot = gpu.value() - first_gpu_;
+  if (slot < 0 || slot >= static_cast<std::int64_t>(gpus_.size())) return nullptr;
+  return gpus_[static_cast<std::size_t>(slot)];
 }
 
+bool GpuManager::manages(GpuId gpu) const { return find_gpu(gpu) != nullptr; }
+
 gpu::VirtualGpu& GpuManager::gpu_ref(GpuId gpu) {
-  for (auto* g : gpus_) {
-    if (g->id() == gpu) return *g;
-  }
-  GFAAS_CHECK(false) << "gpu " << gpu.value() << " not managed by node " << node_.value();
-  __builtin_unreachable();
+  gpu::VirtualGpu* device = find_gpu(gpu);
+  GFAAS_CHECK(device != nullptr)
+      << "gpu " << gpu.value() << " not managed by node " << node_.value();
+  return *device;
 }
 
 const gpu::VirtualGpu& GpuManager::gpu_ref(GpuId gpu) const {
   return const_cast<GpuManager*>(this)->gpu_ref(gpu);
-}
-
-void GpuManager::publish_status(GpuId gpu, bool busy, SimTime finish_time) {
-  if (store_ == nullptr) return;
-  store_->put(datastore::keys::gpu_status(gpu), busy ? "busy" : "idle");
-  store_->put(datastore::keys::gpu_finish_time(gpu), std::to_string(finish_time));
-  store_->put(datastore::keys::gpu_free_mem(gpu),
-              std::to_string(gpu_ref(gpu).free_memory()));
-}
-
-void GpuManager::report_latency(const core::Request& request, SimTime latency) {
-  if (store_ == nullptr) return;
-  store_->put(datastore::keys::fn_latency(request.function_name),
-              std::to_string(latency));
 }
 
 void GpuManager::maybe_execute_real(const core::Request& request) {
@@ -117,8 +113,8 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
   auto infer_time = oracle_->infer_time(model, request.batch);
   if (!infer_time.ok()) return infer_time.status();
   // A degraded GPU runs at the stretched timings but execute() returns
-  // (and publishes) the healthy estimate — the scheduler must not know,
-  // that is what makes the degradation gray.
+  // the healthy estimate — the scheduler must not know, that is what
+  // makes the degradation gray.
   const double slow = slowdown(gpu);
   const SimTime real_infer = stretched(*infer_time, slow);
 
@@ -150,8 +146,6 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
           maybe_execute_real(request);
           GFAAS_CHECK(cache_->unpin(gpu, request.model).ok());
           record.completed = finish;
-          publish_status(gpu, /*busy=*/false, finish);
-          report_latency(request, record.latency());
           // Retire the in-flight entry before the callback: the engine's
           // completion handling may immediately start the next request on
           // this GPU.
@@ -176,7 +170,6 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
       auto end = device.begin_inference(now, proc->id, real_infer, request.batch);
       if (!end.ok()) return end.status();
       const SimTime believed_end = *end - (real_infer - *infer_time);
-      publish_status(gpu, /*busy=*/true, believed_end);
       in_flight_[gpu.value()] = InFlightExecution{request, record, 0};
       complete(*end);
       return believed_end;
@@ -217,11 +210,10 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
   auto load_end = device.begin_load(now, *pid, real_load);
   if (!load_end.ok()) return load_end.status();
 
-  // Published/returned estimate backs out the gray stretch; link-queueing
+  // The returned estimate backs out the gray stretch; link-queueing
   // delays (visible to everyone) stay in.
   const SimTime expected_finish =
       *load_end - (real_load - *load_time) + *infer_time;
-  publish_status(gpu, /*busy=*/true, expected_finish);
 
   const ProcessId process = *pid;
   const SimTime load_finish = *load_end;
@@ -279,7 +271,6 @@ StatusOr<core::CompletionRecord> GpuManager::abort(GpuId gpu) {
   core::CompletionRecord record = state.record;
   record.completed = executor_->now();
   record.failed = true;
-  publish_status(gpu, /*busy=*/false, record.completed);
   return record;
 }
 

@@ -5,9 +5,11 @@
 // Manager: on a hit it forwards the input to the existing GPU process; on
 // a miss it asks for a victim list, kills the victims' processes, starts
 // a new process and uploads the model, then runs the inference. It
-// enforces one request per GPU at a time, publishes busy/idle status and
-// estimated finish times to the Datastore, and reports per-request
-// latency on completion — exactly the responsibilities Fig. 2 assigns it.
+// enforces one request per GPU at a time and returns each dispatch's
+// estimated finish time to the engine, which keeps busy/idle status and
+// finish times in its ClusterStateIndex. The paper's GPU Managers also
+// publish that status to etcd (§III-E); here every component shares one
+// address space, so the engine reads it directly.
 #pragma once
 
 #include <functional>
@@ -17,7 +19,6 @@
 #include "cluster/config.h"
 #include "common/id.h"
 #include "core/request.h"
-#include "datastore/kv_store.h"
 #include "gpu/virtual_gpu.h"
 #include "models/latency_model.h"
 #include "models/zoo.h"
@@ -32,11 +33,9 @@ using CompletionCallback = std::function<void(const core::CompletionRecord&)>;
 
 class GpuManager {
  public:
-  GpuManager(NodeId node, sim::Executor* executor, datastore::KvStore* store,
-             cache::CacheManager* cache, const models::ModelRegistry* registry,
-             const models::LatencyOracle* oracle,
-             std::vector<gpu::VirtualGpu*> gpus,
-             bool execute_real_inference = false);
+  GpuManager(NodeId node, sim::Executor* executor, cache::CacheManager* cache,
+             const models::ModelRegistry* registry, const models::LatencyOracle* oracle,
+             std::vector<gpu::VirtualGpu*> gpus, bool execute_real_inference = false);
 
   NodeId node() const { return node_; }
   bool manages(GpuId gpu) const;
@@ -79,17 +78,20 @@ class GpuManager {
     std::uint64_t pending_event = 0;  // load-finish or completion event
   };
 
-  void publish_status(GpuId gpu, bool busy, SimTime finish_time);
-  void report_latency(const core::Request& request, SimTime latency);
   // Runs the scaled-down model for real when configured.
   void maybe_execute_real(const core::Request& request);
+  // The managed device with this id, or null if another manager owns it.
+  gpu::VirtualGpu* find_gpu(GpuId gpu) const;
 
   NodeId node_;
   sim::Executor* executor_;
-  datastore::KvStore* store_;
   cache::CacheManager* cache_;
   const models::ModelRegistry* registry_;
   const models::LatencyOracle* oracle_;
+  // Managed GPUs indexed by id - first_gpu_ (a node's ids are
+  // contiguous, so this is one slot per GPU; foreign ids inside the span
+  // stay null). O(1) for the per-dispatch device lookups.
+  std::int64_t first_gpu_ = 0;
   std::vector<gpu::VirtualGpu*> gpus_;
   bool execute_real_;
   // Lazily built runtime models for real execution, by model id.

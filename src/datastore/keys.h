@@ -1,32 +1,20 @@
-// Canonical key-space layout for the gFaaS datastore, mirroring how the
-// paper's components exchange state through etcd (§III-E):
+// Key-space layout for the per-function records the FaaS watchdog
+// containers (src/faas) keep in the datastore:
 //
-//   gpu/<id>/status          "busy" | "idle"
-//   gpu/<id>/finish_time     estimated finish time of queued work (µs)
-//   gpu/<id>/lru             comma-separated model ids, LRU -> MRU
-//   gpu/<id>/free_mem        free GPU memory (bytes)
-//   model/<id>/locations     comma-separated GPU ids caching the model
 //   fn/<name>/latency        last reported invocation latency (µs)
 //   fn/<name>/invocations    cumulative invocation count
+//
+// The paper's components also swap GPU status, LRU lists and model
+// locations through etcd (§III-E). In this reproduction the Scheduler,
+// Cache Manager and GPU Managers share one address space and read that
+// state from each other directly, so it has no keys here.
 #pragma once
 
 #include <string>
-#include <vector>
-
-#include "common/id.h"
 
 namespace gfaas::datastore::keys {
 
-std::string gpu_status(GpuId gpu);
-std::string gpu_finish_time(GpuId gpu);
-std::string gpu_lru(GpuId gpu);
-std::string gpu_free_mem(GpuId gpu);
-std::string model_locations(ModelId model);
 std::string fn_latency(const std::string& fn_name);
 std::string fn_invocations(const std::string& fn_name);
-
-// Encoding helpers for the list-valued keys.
-std::string encode_id_list(const std::vector<std::int64_t>& ids);
-std::vector<std::int64_t> decode_id_list(const std::string& encoded);
 
 }  // namespace gfaas::datastore::keys

@@ -97,7 +97,7 @@ class VirtualGpu {
   // killed GPU is retired wholesale via CacheManager::remove_gpu).
   Status abort_execution(SimTime now);
 
-  // --- observable state (what the Datastore publishes) ---
+  // --- observable state ---
   GpuPhase phase() const { return phase_; }
   bool is_busy() const { return phase_ != GpuPhase::kIdle; }
   // Completion time of the in-flight operation (now if idle).

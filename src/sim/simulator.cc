@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace gfaas::sim {
 
@@ -36,7 +37,10 @@ void Simulator::settle_head() {
 bool Simulator::pop_and_run() {
   settle_head();
   if (queue_.empty()) return false;
-  Event ev = queue_.top();
+  // Move the callback out rather than copy it (a copy would duplicate
+  // whatever the closure captured). EventOrder never reads `fn`, so the
+  // moved-from top still sorts correctly while pop() removes it.
+  Event ev = std::move(const_cast<Event&>(queue_.top()));
   queue_.pop();
   live_.erase(ev.id);
   now_ = ev.time;

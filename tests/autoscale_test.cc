@@ -417,6 +417,106 @@ TEST(EngineMembershipTest, UnfenceAbortsDrainAndRestoresLocality) {
   EXPECT_EQ(engine.completions().back().gpu, hot);
 }
 
+TEST(EngineMembershipTest, RandomizedLocalPendingTotalMatchesQueueScan) {
+  // The engine keeps a running count of parked (local-queue) requests so
+  // run_policy() need not scan every GPU's queue. Drive each verb that
+  // parks or unparks work in a random order and check the count against
+  // the full scan after every op.
+  auto built = testkit::ClusterBuilder().nodes(3).gpus_per_node(2).models(3).build();
+  cluster::SimCluster& cluster = *built;
+  auto& engine = cluster.engine();
+  Rng rng(77);
+  std::int64_t next_id = 0;
+  // How often each op took effect, so the stream provably covers them all.
+  int submits = 0, moves = 0, dispatches = 0, kills = 0, adds = 0, cancels = 0;
+
+  const auto registered = [&] {
+    std::vector<GpuId> out;
+    for (std::size_t i = 0; i < cluster.gpu_count(); ++i) {
+      const GpuId gpu(static_cast<std::int64_t>(i));
+      if (engine.is_registered(gpu)) out.push_back(gpu);
+    }
+    return out;
+  };
+  const auto with_parked_work = [&] {
+    std::vector<GpuId> out;
+    for (const GpuId gpu : registered()) {
+      if (!engine.local_queues().empty(gpu)) out.push_back(gpu);
+    }
+    return out;
+  };
+
+  // A completion frees its GPU before the engine re-runs the policy, and
+  // the completion hook runs in between: the one moment an idle GPU still
+  // holds parked work. The stream serves that work by hand there.
+  engine.set_completion_hook([&](const core::CompletionRecord& record) {
+    const GpuId gpu = record.gpu;
+    if (record.failed || !engine.is_registered(gpu) || !engine.is_idle(gpu) ||
+        engine.local_queues().empty(gpu) || rng.next_below(2) == 0) {
+      return;
+    }
+    engine.dispatch_from_local(gpu);
+    ++dispatches;
+    EXPECT_EQ(engine.local_pending(), engine.local_queues().total_pending());
+  });
+
+  for (int step = 0; step < 4000; ++step) {
+    switch (rng.next_below(5)) {
+      case 0: {
+        const auto model = static_cast<std::int64_t>(rng.next_below(3));
+        engine.submit(make_request(next_id++, model, cluster.simulator().now()));
+        ++submits;
+        break;
+      }
+      case 1: {  // park the oldest waiting request on a holder of its model
+        const core::Request* head = engine.global_queue().head();
+        if (head == nullptr) break;
+        const auto holders = cluster.cache().locations(head->model);
+        if (holders.empty()) break;
+        engine.move_to_local(head->id, holders[rng.next_below(holders.size())]);
+        ++moves;
+        break;
+      }
+      case 2: {  // kill a GPU (parked work rejoins the global queue), or
+                 // provision one when the fleet runs low
+        const auto live = registered();
+        if (live.size() <= 2) {
+          cluster.add_gpu(gpu::rtx2080());
+          ++adds;
+        } else {
+          engine.kill_gpu(live[rng.next_below(live.size())]);
+          ++kills;
+        }
+        break;
+      }
+      case 3: {  // cancel a parked request
+        const auto parked = with_parked_work();
+        if (parked.empty()) break;
+        const GpuId gpu = parked[rng.next_below(parked.size())];
+        const auto& queue = engine.local_queues().queued(gpu);
+        const RequestId id = queue[rng.next_below(queue.size())].id;
+        EXPECT_TRUE(engine.cancel_request(id));
+        ++cancels;
+        break;
+      }
+      default:
+        cluster.simulator().step();
+        break;
+    }
+    ASSERT_EQ(engine.local_pending(), engine.local_queues().total_pending())
+        << "after step " << step;
+  }
+  cluster.simulator().run();
+  EXPECT_EQ(engine.local_pending(), 0u);
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_GT(submits, 0);
+  EXPECT_GT(moves, 0);
+  EXPECT_GT(dispatches, 0);
+  EXPECT_GT(kills, 0);
+  EXPECT_GT(adds, 0);
+  EXPECT_GT(cancels, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Scaling policies
 // ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 // Unit tests for the cache module: eviction policy orderings, per-GPU
 // cache state (insert/remove/pin/eviction planning), and the global
-// CacheManager with its datastore mirroring.
+// CacheManager with its model -> GPUs location index.
 #include <gtest/gtest.h>
 
 #include "cache/cache_manager.h"
 #include "cache/policy.h"
-#include "datastore/keys.h"
-#include "datastore/kv_store.h"
 
 namespace gfaas::cache {
 namespace {
@@ -187,26 +185,22 @@ TEST(CacheManagerTest, PinUnpinValidatesResidency) {
   EXPECT_EQ(manager.unpin(GpuId(0), ModelId(2)).code(), StatusCode::kNotFound);
 }
 
-TEST(CacheManagerTest, MirrorsLruAndLocationsToDatastore) {
-  datastore::KvStore store;
-  CacheManager manager(PolicyKind::kLru, &store);
+TEST(CacheManagerTest, TracksLruOrderAndLocations) {
+  CacheManager manager(PolicyKind::kLru);
   manager.add_gpu(GpuId(0), MB(1000));
   ASSERT_TRUE(manager.record_insertion(GpuId(0), ModelId(3), MB(100)).ok());
   ASSERT_TRUE(manager.record_insertion(GpuId(0), ModelId(5), MB(100)).ok());
   ASSERT_TRUE(manager.record_access(GpuId(0), ModelId(3)).ok());
 
-  auto lru = store.get(datastore::keys::gpu_lru(GpuId(0)));
-  ASSERT_TRUE(lru.ok());
-  EXPECT_EQ(lru->value, "5,3");  // LRU -> MRU after touching 3
-
-  auto locations = store.get(datastore::keys::model_locations(ModelId(5)));
-  ASSERT_TRUE(locations.ok());
-  EXPECT_EQ(locations->value, "0");
+  // LRU -> MRU after touching 3.
+  EXPECT_EQ(manager.state(GpuId(0)).eviction_order(),
+            (std::vector<ModelId>{ModelId(5), ModelId(3)}));
+  EXPECT_EQ(manager.locations(ModelId(5)), (std::vector<GpuId>{GpuId(0)}));
 
   ASSERT_TRUE(manager.record_eviction(GpuId(0), ModelId(5)).ok());
-  locations = store.get(datastore::keys::model_locations(ModelId(5)));
-  ASSERT_TRUE(locations.ok());
-  EXPECT_EQ(locations->value, "");
+  EXPECT_EQ(manager.state(GpuId(0)).eviction_order(),
+            (std::vector<ModelId>{ModelId(3)}));
+  EXPECT_TRUE(manager.locations(ModelId(5)).empty());
 }
 
 TEST(CacheManagerTest, SeparateListsPerGpu) {

@@ -1,11 +1,10 @@
 // Integration tests: the full Fig. 2 pipeline — Gateway -> Scheduler ->
-// GPU Manager -> virtual GPU -> Cache Manager -> Datastore — on small
+// GPU Manager -> virtual GPU -> Cache Manager — on small
 // simulated clusters, including the FaasCluster end-to-end path with real
 // CPU inference enabled.
 #include <gtest/gtest.h>
 
 #include "cluster/faas_cluster.h"
-#include "datastore/keys.h"
 #include "testing/builders.h"
 #include "trace/workload.h"
 
@@ -41,12 +40,12 @@ TEST(SimClusterTest, SingleRequestFullLifecycle) {
   const auto& record = cluster.engine().completions().at(0);
   EXPECT_FALSE(record.cache_hit);
   EXPECT_NEAR(sim_to_seconds(record.latency()), 3.69, 0.05);
-  // Model resident after completion; datastore mirrors status.
+  // Model resident after completion; the engine's index and the device
+  // both see the GPU idle again.
   EXPECT_TRUE(cluster.cache().is_cached(GpuId(0), ModelId(0)));
-  EXPECT_EQ(cluster.datastore().get(datastore::keys::gpu_status(GpuId(0)))->value,
-            "idle");
-  EXPECT_TRUE(
-      cluster.datastore().get(datastore::keys::fn_latency("fn0")).ok());
+  EXPECT_TRUE(cluster.engine().is_idle(GpuId(0)));
+  EXPECT_EQ(cluster.engine().idle_gpu_count(), 1u);
+  EXPECT_FALSE(cluster.gpu(0).is_busy());
 }
 
 TEST(SimClusterTest, EvictionHappensWhenMemoryFull) {
@@ -174,7 +173,7 @@ TEST(GpuManagerTest, RejectsWorkOnBusyGpu) {
 
 TEST(GpuManagerTest, MissEvictsExactlyPlannedVictims) {
   // 8GB GPU with two resident VGGs; a third large model must evict only
-  // the LRU one, and the datastore LRU mirror must reflect every step.
+  // the LRU one, and the cache manager's LRU order must reflect every step.
   ClusterConfig config;
   config.nodes = 1;
   config.gpus_per_node = 1;
@@ -187,9 +186,8 @@ TEST(GpuManagerTest, MissEvictsExactlyPlannedVictims) {
   }
   SimCluster cluster(config, registry);
   cluster.replay({make_request(0, 0, 0), make_request(1, 1, sec(10))});
-  auto lru = cluster.datastore().get(datastore::keys::gpu_lru(GpuId(0)));
-  ASSERT_TRUE(lru.ok());
-  EXPECT_EQ(lru->value, "0,1");  // model0 is LRU
+  EXPECT_EQ(cluster.cache().state(GpuId(0)).eviction_order(),
+            (std::vector<ModelId>{ModelId(0), ModelId(1)}));  // model0 is LRU
 
   cluster.simulator().schedule_at(sec(20),
                                   [&] {
@@ -197,8 +195,9 @@ TEST(GpuManagerTest, MissEvictsExactlyPlannedVictims) {
                                   });
   cluster.simulator().run();
   EXPECT_EQ(cluster.gpu(0).counters().evictions, 1);
-  lru = cluster.datastore().get(datastore::keys::gpu_lru(GpuId(0)));
-  EXPECT_EQ(lru->value, "1,2");  // model0 evicted, model2 MRU
+  // model0 evicted, model2 MRU.
+  EXPECT_EQ(cluster.cache().state(GpuId(0)).eviction_order(),
+            (std::vector<ModelId>{ModelId(1), ModelId(2)}));
   EXPECT_EQ(cluster.gpu(0).process_count(), 2u);
 }
 

@@ -221,20 +221,8 @@ TEST(KvStoreTest, RevokeLeaseDeletesKeysImmediately) {
 }
 
 TEST(KeysTest, CanonicalLayout) {
-  EXPECT_EQ(keys::gpu_status(GpuId(3)), "gpu/3/status");
-  EXPECT_EQ(keys::gpu_lru(GpuId(0)), "gpu/0/lru");
-  EXPECT_EQ(keys::gpu_finish_time(GpuId(7)), "gpu/7/finish_time");
-  EXPECT_EQ(keys::gpu_free_mem(GpuId(1)), "gpu/1/free_mem");
-  EXPECT_EQ(keys::model_locations(ModelId(9)), "model/9/locations");
   EXPECT_EQ(keys::fn_latency("resnet50-fn"), "fn/resnet50-fn/latency");
-}
-
-TEST(KeysTest, IdListCodecRoundTrips) {
-  const std::vector<std::int64_t> ids = {5, 0, 12, 7};
-  EXPECT_EQ(keys::encode_id_list(ids), "5,0,12,7");
-  EXPECT_EQ(keys::decode_id_list("5,0,12,7"), ids);
-  EXPECT_TRUE(keys::decode_id_list("").empty());
-  EXPECT_EQ(keys::decode_id_list("42"), (std::vector<std::int64_t>{42}));
+  EXPECT_EQ(keys::fn_invocations("resnet50-fn"), "fn/resnet50-fn/invocations");
 }
 
 }  // namespace

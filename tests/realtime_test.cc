@@ -286,8 +286,7 @@ TEST(RealTimeExecutorTest, FullSchedulingStackRunsOnWallClock) {
   // drives, now driven by real time (compressed 10000x: a 2.4s model
   // load takes ~0.24ms of wall time).
   RealTimeExecutor executor(/*time_scale=*/10000.0);
-  datastore::KvStore store(&executor);
-  cache::CacheManager cache(cache::PolicyKind::kLru, &store);
+  cache::CacheManager cache(cache::PolicyKind::kLru);
   models::ModelRegistry registry = testkit::head_registry(2);
   models::LatencyOracle oracle(registry);
 
@@ -296,8 +295,7 @@ TEST(RealTimeExecutorTest, FullSchedulingStackRunsOnWallClock) {
   gpu::VirtualGpu gpu1(GpuId(1), gpu::rtx2080(), &link);
   cache.add_gpu(GpuId(0), gpu0.memory_capacity());
   cache.add_gpu(GpuId(1), gpu1.memory_capacity());
-  GpuManager manager(NodeId(0), &executor, &store, &cache, &registry, &oracle,
-                     {&gpu0, &gpu1});
+  GpuManager manager(NodeId(0), &executor, &cache, &registry, &oracle, {&gpu0, &gpu1});
   SchedulerEngine engine(&executor, &cache, &oracle, {&gpu0, &gpu1}, {&manager},
                          core::make_scheduler(core::PolicyName::kLalbO3));
 
@@ -310,7 +308,6 @@ TEST(RealTimeExecutorTest, FullSchedulingStackRunsOnWallClock) {
       req.model = ModelId(i % 2);
       req.batch = 32;
       req.arrival = executor.now();
-      req.function_name = "rt-fn";
       engine.submit(std::move(req));
     });
   }
