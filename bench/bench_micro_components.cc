@@ -10,7 +10,6 @@
 #include "datastore/kv_store.h"
 #include "gpu/memory_allocator.h"
 #include "sim/simulator.h"
-#include "tensor/model_builder.h"
 #include "trace/workload.h"
 
 using namespace gfaas;
@@ -72,16 +71,6 @@ static void BM_AllocatorPagedChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AllocatorPagedChurn);
-
-static void BM_Conv2dForward(benchmark::State& state) {
-  Rng rng(4);
-  tensor::Conv2d conv(3, 8, 3, 1, 1, rng);
-  tensor::Tensor input = tensor::Tensor::randn({1, 3, 32, 32}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.forward(input));
-  }
-}
-BENCHMARK(BM_Conv2dForward);
 
 static void BM_FullExperimentWS15(benchmark::State& state) {
   trace::WorkloadConfig wconfig;

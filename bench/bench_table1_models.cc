@@ -1,13 +1,10 @@
 // Table I reproduction: the 22-model catalog with occupation size in GPU
 // memory, loading time, and inference latency at batch 32 — plus the
-// regression fits the scheduler derives from them (§IV-A) and a live
-// profiling run of the scaled-down CPU models demonstrating the paper's
-// profiling procedure.
+// load-time regression the scheduler derives from them (§IV-A).
 #include <cstdio>
 
 #include "metrics/reporter.h"
 #include "models/latency_model.h"
-#include "models/profiler.h"
 #include "models/zoo.h"
 
 using namespace gfaas;
@@ -28,27 +25,8 @@ int main() {
     std::printf(
         "Load-time regression across the catalog (t = base + size/bandwidth):\n"
         "  base cost:          %.2f s (process start + context init)\n"
-        "  implied bandwidth:  %.2f GB/s effective upload\n\n",
+        "  implied bandwidth:  %.2f GB/s effective upload\n",
         sim_to_seconds(load_model->base_cost()), load_model->bandwidth_bps() / 1e9);
   }
-
-  std::printf(
-      "=== Profiling procedure demo (batch-size regression, scaled CPU models) "
-      "===\n");
-  metrics::Table prof({"Model", "b=1(ms)", "b=2(ms)", "b=4(ms)", "slope(ms/img)",
-                       "R^2"});
-  models::Profiler profiler({1, 2, 4});
-  // Profile a representative model per family (full sweep is slow on CPU).
-  for (const char* name : {"squeezenet1.1", "resnet18", "alexnet", "vgg11"}) {
-    auto profile = models::find_model(name);
-    auto result = profiler.profile(*profile, /*repeats=*/1);
-    if (!result.ok()) continue;
-    prof.add_row({name, metrics::Table::fmt(result->points[0].latency / 1e3),
-                  metrics::Table::fmt(result->points[1].latency / 1e3),
-                  metrics::Table::fmt(result->points[2].latency / 1e3),
-                  metrics::Table::fmt(result->fit.slope / 1e3),
-                  metrics::Table::fmt(result->fit.r_squared)});
-  }
-  std::printf("%s", prof.to_string().c_str());
   return 0;
 }

@@ -1,55 +1,55 @@
-// Quickstart: deploy and invoke a GPU-enabled ML inference function on a
-// gFaaS cluster in ~40 lines.
+// Quickstart: serve a model-inference function through the gFaaS
+// Gateway on a simulated GPU cluster in ~40 lines.
 //
-// What happens under the hood (paper Fig. 2): the Gateway parses the
-// Dockerfile's GPU-enable flag and reroutes the function's model-serving
-// calls to the GPU Manager; the Scheduler (LALB + out-of-order dispatch)
-// places each invocation on one of 12 virtual RTX 2080 GPUs; the Cache
-// Manager keeps the model resident so repeat invocations skip the upload.
+// What happens under the hood (paper Fig. 2): the Gateway admits each
+// invocation and hands it to the Scheduler (LALB + out-of-order
+// dispatch), which places it on one of 12 virtual RTX 2080 GPUs; the
+// GPU Manager uploads the model on a miss, and the Cache Manager keeps it
+// resident so repeat invocations skip the upload.
 #include <cstdio>
 
-#include "cluster/faas_cluster.h"
+#include "cluster/experiment.h"
+#include "gateway/gateway.h"
 #include "models/zoo.h"
 
 using namespace gfaas;
 
 int main() {
   // A 3-node x 4-GPU cluster (the paper's testbed), LALB+O3 scheduling,
-  // with real (scaled-down) CPU forward passes behind each inference.
-  cluster::ClusterConfig config;
-  config.execute_real_inference = true;
-  cluster::FaasCluster faas(config, models::ModelRegistry::full_catalog());
+  // with the whole Table I catalog registered.
+  cluster::SimCluster cluster(cluster::ClusterConfig{},
+                              models::ModelRegistry::full_catalog());
+  gateway::Gateway gateway(&cluster);
 
-  // Register a function. The Dockerfile is all a user writes: the
-  // GPU-enable flag + which model to serve.
-  faas::FunctionSpec spec;
-  spec.name = "classify-image";
-  spec.dockerfile =
-      "FROM gfaas/pytorch-runtime\n"
-      "ENV GPU_ENABLED=1\n"
-      "ENV GFAAS_MODEL=resnet50\n";
-  if (auto status = faas.gateway().register_function(spec); !status.ok()) {
-    std::fprintf(stderr, "register failed: %s\n", status.to_string().c_str());
+  const auto model = models::find_model("resnet50");
+  if (!model.ok()) {
+    std::fprintf(stderr, "lookup failed: %s\n", model.status().to_string().c_str());
     return 1;
   }
-  std::printf("registered function '%s' (GPU-enabled, model resnet50)\n",
-              spec.name.c_str());
+  std::printf("serving model '%s' through the Gateway on %zu GPUs\n",
+              model->name.c_str(), cluster.gpu_count());
 
   // Invoke it three times. The first pays the model upload (cold, ~4s);
   // the rest hit the GPU cache (~1.3s).
+  int failures = 0;
   for (int i = 0; i < 3; ++i) {
-    faas.gateway().invoke(
-        "classify-image", {}, [i](StatusOr<faas::InvocationResult> result) {
-          if (!result.ok()) {
-            std::fprintf(stderr, "invoke failed: %s\n",
-                         result.status().to_string().c_str());
-            return;
-          }
-          std::printf("invocation %d: %.2fs on %s (%s)\n", i,
-                      sim_to_seconds(result->latency), result->executed_on.c_str(),
-                      i == 0 ? "cache miss: model uploaded" : "cache hit");
-        });
-    faas.run_to_completion();
+    core::Request request;
+    request.id = RequestId(i);
+    request.model = model->id;
+    gateway.submit(request, [i, &failures](const gateway::GatewayResult& result) {
+      if (result.disposition != gateway::Disposition::kCompleted) {
+        std::fprintf(stderr, "invocation %d: %s\n", i,
+                     gateway::disposition_name(result.disposition));
+        ++failures;
+        return;
+      }
+      const core::CompletionRecord& record = result.record;
+      std::printf("invocation %d: %.2fs on gpu-%lld (%s)\n", i,
+                  sim_to_seconds(record.latency()),
+                  static_cast<long long>(record.gpu.value()),
+                  record.cache_hit ? "cache hit" : "cache miss: model uploaded");
+    });
+    cluster.run_to_completion();
   }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -48,7 +48,7 @@ ClusterAssembly::ClusterAssembly(sim::Executor* executor, const ClusterConfig& c
     domain_gpus_.push_back(std::move(domain_members));
     managers_.push_back(std::make_unique<GpuManager>(
         NodeId(node), executor_, cache_.get(), registry_.get(), oracle_.get(),
-        node_gpus, config.execute_real_inference));
+        node_gpus));
     manager_ptrs.push_back(managers_.back().get());
   }
 
@@ -67,8 +67,7 @@ GpuId ClusterAssembly::add_gpu(const gpu::GpuSpec& spec) {
   managers_.push_back(std::make_unique<GpuManager>(
       NodeId(static_cast<std::int64_t>(managers_.size())), executor_, cache_.get(),
       registry_.get(), oracle_.get(),
-      std::vector<gpu::VirtualGpu*>{gpus_.back().get()},
-      config_.execute_real_inference));
+      std::vector<gpu::VirtualGpu*>{gpus_.back().get()}));
   engine_->add_gpu(gpus_.back().get(), managers_.back().get());
   domain_gpus_.push_back({id});
   return id;

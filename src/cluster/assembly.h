@@ -1,6 +1,6 @@
 // Executor-agnostic assembly of the full component stack from Fig. 2:
-// Datastore, Cache Manager, per-node GPU Managers and the Scheduler
-// engine, wired to whatever sim::Executor the caller provides.
+// Cache Manager, per-node GPU Managers and the Scheduler engine, wired
+// to whatever sim::Executor the caller provides.
 //
 // SimCluster (evaluation mode, discrete-event simulator) and
 // RealTimeCluster (deployment mode, wall-clock executor) both delegate
@@ -28,9 +28,10 @@ class ClusterAssembly {
                   const models::ModelRegistry& registry);
   ~ClusterAssembly();
 
-  // The store the faas/ layer (FaasCluster's Gateway and watchdog
-  // containers) writes to. The engine, Cache Manager and GPU Managers
-  // share state in memory and write nothing here.
+  // The paper's etcd channel (§III-E) carries component state between
+  // processes. Here every component shares one address space and
+  // gateway::Gateway is the one front door, so nothing in src/ writes to
+  // this store; it stays only for perfbench's datastore counter.
   datastore::KvStore& datastore() { return *store_; }
   cache::CacheManager& cache() { return *cache_; }
   const cache::CacheManager& cache() const { return *cache_; }

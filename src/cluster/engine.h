@@ -100,6 +100,10 @@ class SchedulerEngine final : public core::SchedulingContext {
     return index_.idle_count();
   }
 
+  // Whether `model` has a latency profile, i.e. can be scheduled at all
+  // (the Gateway rejects the rest at the door). O(1), allocation-free.
+  bool serves_model(ModelId model) const { return oracle_->contains(model); }
+
   // --- retry / hedging support (src/gateway) ---
   // Cancels a not-yet-completed request wherever it sits: waiting in the
   // global queue, parked in a local queue (its model pin is given back),

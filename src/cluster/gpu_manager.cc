@@ -4,20 +4,18 @@
 #include <cmath>
 
 #include "common/log.h"
-#include "tensor/dataset.h"
 
 namespace gfaas::cluster {
 
 GpuManager::GpuManager(NodeId node, sim::Executor* executor, cache::CacheManager* cache,
                        const models::ModelRegistry* registry,
                        const models::LatencyOracle* oracle,
-                       std::vector<gpu::VirtualGpu*> gpus, bool execute_real_inference)
+                       std::vector<gpu::VirtualGpu*> gpus)
     : node_(node),
       executor_(executor),
       cache_(cache),
       registry_(registry),
-      oracle_(oracle),
-      execute_real_(execute_real_inference) {
+      oracle_(oracle) {
   GFAAS_CHECK(executor_ && cache_ && registry_ && oracle_);
   GFAAS_CHECK(!gpus.empty());
   const auto [lo, hi] = std::minmax_element(
@@ -78,27 +76,6 @@ const gpu::VirtualGpu& GpuManager::gpu_ref(GpuId gpu) const {
   return const_cast<GpuManager*>(this)->gpu_ref(gpu);
 }
 
-void GpuManager::maybe_execute_real(const core::Request& request) {
-  if (!execute_real_) return;
-  auto it = runtime_models_.find(request.model.value());
-  if (it == runtime_models_.end()) {
-    const auto profile = registry_->get(request.model);
-    GFAAS_CHECK(profile.ok());
-    it = runtime_models_
-             .emplace(request.model.value(), tensor::build_cnn(profile->runtime_config))
-             .first;
-  }
-  // Run a genuinely-sized forward pass (small batch keeps CPU time sane;
-  // simulated timing still follows the Table I profiles).
-  tensor::SyntheticImageDataset dataset(
-      tensor::DatasetKind::kCifar10Like,
-      static_cast<std::uint64_t>(request.id.value()) + 1);
-  const tensor::Batch batch =
-      dataset.make_batch(std::min<std::int64_t>(2, request.batch));
-  const tensor::Tensor out = it->second->forward(batch.images);
-  GFAAS_CHECK(out.numel() > 0);
-}
-
 StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
                                       bool false_miss, bool via_local_queue,
                                       CompletionCallback done) {
@@ -132,19 +109,20 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
   record.deadline = request.deadline;
   record.steal_hops = request.steal_hops;
 
-  auto complete = [this, request, gpu, record, done](SimTime finish) mutable {
+  // The record carries everything the completion needs (gpu, model), so
+  // neither closure holds a copy of the request.
+  auto complete = [this, record, done](SimTime finish) {
     // Under the wall-clock executor now() keeps moving, so the remaining
     // delay can come out marginally negative; clamp to "immediately".
     const SimTime delay = std::max<SimTime>(0, finish - executor_->now());
     const std::uint64_t event =
-        executor_->schedule_after(delay, [this, request, gpu, record,
-                                          done, finish]() mutable {
+        executor_->schedule_after(delay, [this, record, done, finish]() mutable {
+          const GpuId gpu = record.gpu;
           gpu::VirtualGpu& dev = gpu_ref(gpu);
-          const auto proc = dev.find_process(request.model);
+          const auto proc = dev.find_process(record.model);
           GFAAS_CHECK(proc.has_value());
           GFAAS_CHECK(dev.finish_inference(finish, proc->id).ok());
-          maybe_execute_real(request);
-          GFAAS_CHECK(cache_->unpin(gpu, request.model).ok());
+          GFAAS_CHECK(cache_->unpin(gpu, record.model).ok());
           record.completed = finish;
           // Retire the in-flight entry before the callback: the engine's
           // completion handling may immediately start the next request on
@@ -154,7 +132,7 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
         });
     // Runs on the executor's worker (or inside the simulator's event
     // loop), so the event cannot fire before the id is recorded.
-    auto it = in_flight_.find(gpu.value());
+    auto it = in_flight_.find(record.gpu.value());
     GFAAS_CHECK(it != in_flight_.end());
     it->second.pending_event = event;
   };
@@ -170,7 +148,7 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
       auto end = device.begin_inference(now, proc->id, real_infer, request.batch);
       if (!end.ok()) return end.status();
       const SimTime believed_end = *end - (real_infer - *infer_time);
-      in_flight_[gpu.value()] = InFlightExecution{request, record, 0};
+      in_flight_[gpu.value()] = InFlightExecution{record, 0};
       complete(*end);
       return believed_end;
     }
@@ -218,17 +196,18 @@ StatusOr<SimTime> GpuManager::execute(const core::Request& request, GpuId gpu,
   const ProcessId process = *pid;
   const SimTime load_finish = *load_end;
   const SimTime infer_duration = real_infer;
+  const std::int64_t batch = request.batch;
   const std::uint64_t load_event = executor_->schedule_after(
       std::max<SimTime>(0, load_finish - executor_->now()),
-      [this, gpu, process, request, load_finish, infer_duration, complete]() mutable {
+      [this, gpu, process, batch, load_finish, infer_duration,
+       complete = std::move(complete)]() {
         gpu::VirtualGpu& dev = gpu_ref(gpu);
         GFAAS_CHECK(dev.finish_load(load_finish, process).ok());
-        auto end = dev.begin_inference(load_finish, process, infer_duration,
-                                       request.batch);
+        auto end = dev.begin_inference(load_finish, process, infer_duration, batch);
         GFAAS_CHECK(end.ok()) << end.status().to_string();
         complete(*end);
       });
-  in_flight_[gpu.value()] = InFlightExecution{request, record, load_event};
+  in_flight_[gpu.value()] = InFlightExecution{record, load_event};
   return expected_finish;
 }
 
@@ -244,34 +223,34 @@ StatusOr<core::CompletionRecord> GpuManager::abort(GpuId gpu) {
   // way it has not fired yet (abort must precede the completion instant),
   // so the cancel is authoritative and the chained lambdas never run.
   GFAAS_CHECK(executor_->cancel(state.pending_event))
-      << "abort raced the completion of request " << state.request.id.value();
+      << "abort raced the completion of request " << state.record.id.value();
   gpu::VirtualGpu& device = gpu_ref(gpu);
   GFAAS_CHECK(device.abort_execution(executor_->now()).ok());
   // Drop the execution pin taken at dispatch; residency bookkeeping for
   // loaded models stays until a killed GPU is retired through
   // CacheManager::remove_gpu.
-  GFAAS_CHECK(cache_->unpin(gpu, state.request.model).ok());
+  const ModelId model = state.record.model;
+  GFAAS_CHECK(cache_->unpin(gpu, model).ok());
   // If the abort interrupted the model upload, the process never became
   // servable: evict it, or the cache index would advertise a "cached"
   // model whose next hit finds it unloaded. This matters both for
   // kill-during-load (the cache must not mirror a phantom location while
   // the GPU is torn down) and for a cancelled hedge loser, where the GPU
   // lives on and must stay dispatchable.
-  const auto proc = device.find_process(state.request.model);
+  const auto proc = device.find_process(model);
   if (proc.has_value() && !proc->loaded) {
     GFAAS_CHECK(device.kill_process(proc->id).ok());
-    if (cache_->state(gpu).pinned(state.request.model)) {
+    if (cache_->state(gpu).pinned(model)) {
       // Queued requests for this model still hold pins: keep the entry
       // resident (they enqueued against it) and let the next dispatch
       // re-upload via the hit-without-process path in execute().
     } else {
-      GFAAS_CHECK(cache_->record_eviction(gpu, state.request.model).ok());
+      GFAAS_CHECK(cache_->record_eviction(gpu, model).ok());
     }
   }
-  core::CompletionRecord record = state.record;
-  record.completed = executor_->now();
-  record.failed = true;
-  return record;
+  state.record.completed = executor_->now();
+  state.record.failed = true;
+  return state.record;
 }
 
 }  // namespace gfaas::cluster

@@ -23,7 +23,6 @@
 #include "models/latency_model.h"
 #include "models/zoo.h"
 #include "sim/simulator.h"
-#include "tensor/model_builder.h"
 
 namespace gfaas::cluster {
 
@@ -35,7 +34,7 @@ class GpuManager {
  public:
   GpuManager(NodeId node, sim::Executor* executor, cache::CacheManager* cache,
              const models::ModelRegistry* registry, const models::LatencyOracle* oracle,
-             std::vector<gpu::VirtualGpu*> gpus, bool execute_real_inference = false);
+             std::vector<gpu::VirtualGpu*> gpus);
 
   NodeId node() const { return node_; }
   bool manages(GpuId gpu) const;
@@ -73,13 +72,10 @@ class GpuManager {
   // One executing request: what abort() needs to unwind the lambdas
   // execute() chains through the executor.
   struct InFlightExecution {
-    core::Request request;
     core::CompletionRecord record;  // completed still unset
     std::uint64_t pending_event = 0;  // load-finish or completion event
   };
 
-  // Runs the scaled-down model for real when configured.
-  void maybe_execute_real(const core::Request& request);
   // The managed device with this id, or null if another manager owns it.
   gpu::VirtualGpu* find_gpu(GpuId gpu) const;
 
@@ -93,9 +89,6 @@ class GpuManager {
   // stay null). O(1) for the per-dispatch device lookups.
   std::int64_t first_gpu_ = 0;
   std::vector<gpu::VirtualGpu*> gpus_;
-  bool execute_real_;
-  // Lazily built runtime models for real execution, by model id.
-  std::unordered_map<std::int64_t, tensor::ModulePtr> runtime_models_;
   // In-flight executions by GPU id (one request per GPU at a time).
   std::unordered_map<std::int64_t, InFlightExecution> in_flight_;
   // Active gray-degradation factors by GPU id (absent = healthy).

@@ -22,6 +22,7 @@ struct Gateway::TelemetryHandles {
   telemetry::Counter* completed = nullptr;
   telemetry::Counter* slo_met = nullptr;
   telemetry::Counter* failed = nullptr;
+  telemetry::Counter* rejected = nullptr;
   telemetry::Counter* retries = nullptr;
   telemetry::Counter* hedges = nullptr;
   telemetry::Counter* hedge_wins = nullptr;
@@ -41,6 +42,8 @@ const char* disposition_name(Disposition disposition) {
       return "expired";
     case Disposition::kFailed:
       return "failed";
+    case Disposition::kRejected:
+      return "rejected";
   }
   return "unknown";
 }
@@ -75,6 +78,7 @@ void Gateway::set_telemetry(telemetry::Telemetry* telemetry) {
   handles->completed = m.counter("gateway.completed");
   handles->slo_met = m.counter("gateway.slo_met");
   handles->failed = m.counter("gateway.failed");
+  handles->rejected = m.counter("gateway.rejected");
   handles->retries = m.counter("gateway.retries");
   handles->hedges = m.counter("gateway.hedges");
   handles->hedge_wins = m.counter("gateway.hedge_wins");
@@ -124,6 +128,12 @@ void Gateway::submit_one(core::Request request, ResultCallback done,
     tel_->spans->record(request.id.value(), telemetry::SpanEvent::kSubmit, now);
   }
 
+  // A model the cluster has no profile for could never be scheduled (the
+  // engine would abort on it): refuse it before it touches any state.
+  if (!cluster_->engine().serves_model(request.model)) {
+    resolve_locally(request, Disposition::kRejected, done);
+    return;
+  }
   // Already stale at the door (a client retransmitted an expired call):
   // answer now rather than spending GPU time on a dead request.
   if (request.deadline <= now) {
@@ -327,9 +337,16 @@ void Gateway::on_hedge_timer(std::int64_t id) {
 
 void Gateway::resolve_locally(const core::Request& request, Disposition disposition,
                               ResultCallback& done) {
-  ModelServingStats& stats = model_stats_[request.model.value()];
   GatewayResult result;
   result.disposition = disposition;
+  if (disposition == Disposition::kRejected) {
+    // No per-model stats: unknown ids must not grow model_stats_.
+    ++counters_.rejected;
+    if (tel_) tel_->rejected->add();
+    deliver(std::move(done), result);
+    return;
+  }
+  ModelServingStats& stats = model_stats_[request.model.value()];
   if (disposition == Disposition::kShed) {
     ++counters_.shed;
     ++stats.shed;

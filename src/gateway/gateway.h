@@ -9,7 +9,8 @@
 //
 //   * submit(request, done) stamps arrival and deadline (arrival + SLO),
 //     and resolves `done` exactly once with the request's disposition —
-//     completed, shed, expired, or failed (GPU died mid-request);
+//     completed, shed, expired, rejected (no such model), or failed (GPU
+//     died mid-request);
 //   * submit_batch(cells) is the bulk form the concurrent ingestion path
 //     drains into: one burst of submissions shares a single fleet-scan
 //     finish-time estimate (memoized between admissions, invalidated by
@@ -78,6 +79,7 @@ enum class Disposition {
   kShed,       // rejected at admission (load shedding)
   kExpired,    // deadline passed before the engine could take it
   kFailed,     // GPU died mid-request (chaos path)
+  kRejected,   // model unknown to the cluster; refused at the door
 };
 
 const char* disposition_name(Disposition disposition);
@@ -150,6 +152,7 @@ struct GatewayCounters {
   std::int64_t shed = 0;
   std::int64_t expired = 0;
   std::int64_t failed = 0;
+  std::int64_t rejected = 0;  // unknown model (never reaches model_stats)
   // --- resilience (see GatewayConfig::max_retries / hedging) ---
   std::int64_t retries = 0;         // failed requests resubmitted
   std::int64_t retries_denied = 0;  // retry budget left, but SLO budget gone
@@ -224,8 +227,8 @@ class Gateway {
 
   // Submits one request for serving. Stamps request.arrival = now and,
   // when the request carries no deadline, deadline = now + default_slo.
-  // `done` fires exactly once — possibly synchronously (shed / expired /
-  // zero window), otherwise at completion or failure. (With a callback
+  // `done` fires exactly once — possibly synchronously (rejected / shed /
+  // expired / zero window), otherwise at completion or failure. (With a callback
   // executor attached, "synchronously" becomes "posted immediately".)
   void submit(core::Request request, ResultCallback done);
 

@@ -103,23 +103,28 @@ double LoadTimeModel::bandwidth_bps() const {
 LatencyOracle::LatencyOracle(const ModelRegistry& registry, double alpha) {
   entries_.reserve(registry.size());
   for (const auto& p : registry.all()) {
+    const auto id = static_cast<std::size_t>(p.id.value());
+    if (id >= slot_.size()) slot_.resize(id + 1, -1);
+    slot_[id] = static_cast<std::int32_t>(entries_.size());
     entries_.push_back(
-        Entry{p.id, p.load_time, BatchLatencyModel(p.infer_time_b32, alpha)});
+        Entry{p.load_time, BatchLatencyModel(p.infer_time_b32, alpha)});
   }
 }
 
+const LatencyOracle::Entry* LatencyOracle::find(ModelId model) const {
+  const auto id = static_cast<std::uint64_t>(model.value());  // negative: huge
+  if (id >= slot_.size() || slot_[id] < 0) return nullptr;
+  return &entries_[static_cast<std::size_t>(slot_[id])];
+}
+
 StatusOr<SimTime> LatencyOracle::load_time(ModelId model) const {
-  for (const auto& e : entries_) {
-    if (e.id == model) return e.load_time;
-  }
+  if (const Entry* e = find(model)) return e->load_time;
   return Status::NotFound("no latency profile for model " +
                           std::to_string(model.value()));
 }
 
 StatusOr<SimTime> LatencyOracle::infer_time(ModelId model, std::int64_t batch) const {
-  for (const auto& e : entries_) {
-    if (e.id == model) return e.batch_model.predict(batch);
-  }
+  if (const Entry* e = find(model)) return e->batch_model.predict(batch);
   return Status::NotFound("no latency profile for model " +
                           std::to_string(model.value()));
 }

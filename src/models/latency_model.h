@@ -80,6 +80,8 @@ class LatencyOracle {
  public:
   explicit LatencyOracle(const ModelRegistry& registry, double alpha = 0.6);
 
+  // Whether the model has a profile. O(1) and allocation-free.
+  bool contains(ModelId model) const { return find(model) != nullptr; }
   // Profiled load time for the model (Table I value).
   StatusOr<SimTime> load_time(ModelId model) const;
   // Predicted inference time at the given batch size.
@@ -87,11 +89,16 @@ class LatencyOracle {
 
  private:
   struct Entry {
-    ModelId id;
     SimTime load_time;
     BatchLatencyModel batch_model;
   };
+  // The model's entry, or null when it has no profile.
+  const Entry* find(ModelId model) const;
+
   std::vector<Entry> entries_;
+  // Model id -> index into entries_, -1 when unregistered. Model ids are
+  // small dense integers (catalog rows), so this is one slot per id.
+  std::vector<std::int32_t> slot_;
 };
 
 }  // namespace gfaas::models

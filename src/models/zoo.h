@@ -6,10 +6,6 @@
 // at batch 32. The catalog below reproduces those numbers exactly; they
 // parameterize the virtual GPU's load/inference timing so the scheduling
 // experiments see the same cost structure the paper measured.
-//
-// Each profile also carries a scaled-down tensor::CnnConfig so the same
-// model identity can be *really executed* on the CPU engine in real-time
-// mode.
 #pragma once
 
 #include <string>
@@ -19,22 +15,18 @@
 #include "common/id.h"
 #include "common/status.h"
 #include "common/time.h"
-#include "tensor/model_builder.h"
 
 namespace gfaas::models {
 
 struct ModelProfile {
   ModelId id;
   std::string name;
-  tensor::CnnFamily family = tensor::CnnFamily::kResNet;
   // Peak occupation in GPU memory at batch 32 (Table I "Size (MB)").
   Bytes occupation = 0;
   // Model loading (host -> GPU upload + process init) time (Table I).
   SimTime load_time = 0;
   // Inference latency at batch 32 (Table I).
   SimTime infer_time_b32 = 0;
-  // Scaled-down architecture for real CPU execution.
-  tensor::CnnConfig runtime_config;
 };
 
 // The full Table I catalog (22 models), ids 0..21 in the paper's row order.

@@ -1,10 +1,7 @@
-// Integration tests: the full Fig. 2 pipeline — Gateway -> Scheduler ->
-// GPU Manager -> virtual GPU -> Cache Manager — on small
-// simulated clusters, including the FaasCluster end-to-end path with real
-// CPU inference enabled.
+// Integration tests: the Fig. 2 pipeline — Scheduler -> GPU Manager ->
+// virtual GPU -> Cache Manager — on small simulated clusters.
 #include <gtest/gtest.h>
 
-#include "cluster/faas_cluster.h"
 #include "testing/builders.h"
 #include "trace/workload.h"
 
@@ -143,17 +140,6 @@ TEST(SimClusterTest, HeterogeneousSpecsApplyPerNode) {
   EXPECT_GT(cluster.gpu(1).memory_capacity(), cluster.gpu(0).memory_capacity());
 }
 
-TEST(SimClusterTest, RealInferenceExecutionPath) {
-  ClusterConfig config;
-  config.nodes = 1;
-  config.gpus_per_node = 1;
-  config.execute_real_inference = true;  // forward passes really run
-  SimCluster cluster(config, head_registry(1));
-  cluster.replay({make_request(0, 0, 0), make_request(1, 0, sec(5))});
-  EXPECT_EQ(cluster.engine().completions().size(), 2u);
-  EXPECT_TRUE(cluster.engine().completions()[1].cache_hit);
-}
-
 TEST(GpuManagerTest, RejectsWorkOnBusyGpu) {
   ClusterConfig config;
   config.nodes = 1;
@@ -281,69 +267,6 @@ TEST(SchedulerEngineTest, PerMinuteSeriesTracksCompletions) {
   EXPECT_EQ(lat.bucket_samples(1), 1);
   EXPECT_DOUBLE_EQ(miss.bucket_sum(0), 2.0);  // both cold
   EXPECT_DOUBLE_EQ(miss.bucket_sum(1), 0.0);  // warm hit
-}
-
-TEST(FaasClusterTest, GatewayEndToEnd) {
-  // ClusterBuilder defaults: 1 node x 2 GPUs.
-  auto built = testkit::ClusterBuilder().models(2).build_faas();
-  FaasCluster& faas_cluster = *built;
-
-  ASSERT_TRUE(faas_cluster.gateway()
-                  .register_function(
-                      testkit::gpu_function_spec("classify", "squeezenet1.1"))
-                  .ok());
-
-  int completions = 0;
-  SimTime first_latency = 0, second_latency = 0;
-  faas_cluster.gateway().invoke("classify", {}, [&](StatusOr<faas::InvocationResult> r) {
-    ASSERT_TRUE(r.ok());
-    first_latency = r->latency;
-    ++completions;
-  });
-  faas_cluster.run_to_completion();
-  // Second call: model now cached -> hit, far lower latency.
-  faas_cluster.gateway().invoke("classify", {}, [&](StatusOr<faas::InvocationResult> r) {
-    ASSERT_TRUE(r.ok());
-    second_latency = r->latency;
-    EXPECT_EQ(r->executed_on.rfind("gpu-", 0), 0u);
-    ++completions;
-  });
-  faas_cluster.run_to_completion();
-
-  EXPECT_EQ(completions, 2);
-  EXPECT_LT(second_latency, first_latency / 2);
-}
-
-TEST(FaasClusterTest, UnknownModelRejectedAtSubmit) {
-  ClusterConfig config;
-  config.nodes = 1;
-  config.gpus_per_node = 1;
-  FaasCluster faas_cluster(config, head_registry(1));
-  ASSERT_TRUE(faas_cluster.gateway()
-                  .register_function(
-                      testkit::gpu_function_spec("ghost", "not-a-model"))
-                  .ok());
-  bool called = false;
-  faas_cluster.gateway().invoke("ghost", {}, [&](StatusOr<faas::InvocationResult> r) {
-    EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-    called = true;
-  });
-  EXPECT_TRUE(called);
-}
-
-TEST(FaasClusterTest, CpuAndGpuFunctionsCoexist) {
-  ClusterConfig config;
-  config.nodes = 1;
-  config.gpus_per_node = 1;
-  FaasCluster faas_cluster(config, head_registry(1));
-
-  faas::FunctionSpec cpu_spec = testkit::cpu_function_spec(
-      "plain", [](const faas::Payload& p) -> StatusOr<faas::Payload> {
-        return p;
-      });
-  ASSERT_TRUE(faas_cluster.gateway().register_function(cpu_spec).ok());
-  auto result = faas_cluster.gateway().invoke_sync("plain", {});
-  EXPECT_TRUE(result.ok());
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Unit tests for the etcd-substitute KvStore: revisions/versions, ranges,
-// CAS transactions, watches, leases, and the canonical key layout.
+// CAS transactions, watches and leases.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "datastore/keys.h"
 #include "datastore/kv_store.h"
 #include "sim/simulator.h"
 
@@ -218,11 +217,6 @@ TEST(KvStoreTest, RevokeLeaseDeletesKeysImmediately) {
   EXPECT_FALSE(store.revoke_lease(lease));
   EXPECT_EQ(store.size(), 0u);
   EXPECT_FALSE(store.keepalive(lease));
-}
-
-TEST(KeysTest, CanonicalLayout) {
-  EXPECT_EQ(keys::fn_latency("resnet50-fn"), "fn/resnet50-fn/latency");
-  EXPECT_EQ(keys::fn_invocations("resnet50-fn"), "fn/resnet50-fn/invocations");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Serving-layer tests: Gateway admission edge cases (zero-capacity
-// window, shed-under-burst, expired-at-submit), completion-callback
+// window, shed-under-burst, expired-at-submit, unknown model rejected at
+// the door on both submit paths), completion-callback
 // ordering against the engine's completion log, per-model SLO stats and
 // the windowed outcome record, the open/closed-loop client generators,
 // the chaos path (GPU killed mid-request: failed callback, local-queue
@@ -118,6 +119,67 @@ TEST(GatewayAdmissionTest, ExpiredAtSubmitResolvesImmediately) {
   EXPECT_EQ(collector.outcomes[0].disposition, Disposition::kExpired);
   EXPECT_EQ(gateway.counters().expired, 1);
   EXPECT_EQ(gateway.counters().admitted, 0);
+}
+
+TEST(GatewayAdmissionTest, UnknownModelRejectedAtSubmit) {
+  // ClusterBuilder registers models 0..2; 999 has no profile, and the
+  // engine would abort the process if it ever dispatched it.
+  auto cluster = testkit::ClusterBuilder().nodes(1).gpus_per_node(2).build();
+  Gateway gateway(cluster.get());
+  Collector collector;
+
+  cluster->simulator().schedule_at(0, [&] {
+    gateway.submit(serving_request(0, 999), collector.callback(0));
+    // Resolved at the door, before anything reaches the engine.
+    ASSERT_EQ(collector.outcomes.size(), 1u);
+    EXPECT_EQ(collector.outcomes[0].disposition, Disposition::kRejected);
+    EXPECT_EQ(gateway.in_flight(), 0u);
+    gateway.submit(serving_request(1, 0), collector.callback(1));
+  });
+  cluster->run_to_completion();
+
+  ASSERT_EQ(collector.outcomes.size(), 2u);
+  EXPECT_EQ(collector.outcomes[1].id, 1);
+  EXPECT_EQ(collector.outcomes[1].disposition, Disposition::kCompleted);
+  EXPECT_EQ(gateway.counters().submitted, 2);
+  EXPECT_EQ(gateway.counters().rejected, 1);
+  EXPECT_EQ(gateway.counters().admitted, 1);
+  EXPECT_EQ(gateway.model_stats().count(999), 0u);
+  EXPECT_EQ(cluster->engine().completions().size(), 1u);
+  EXPECT_STREQ(disposition_name(Disposition::kRejected), "rejected");
+}
+
+TEST(GatewayAdmissionTest, UnknownModelRejectedInBatchEvenWithFullWindow) {
+  auto cluster = testkit::ClusterBuilder().nodes(1).gpus_per_node(2).build();
+  GatewayConfig config;
+  config.max_in_flight = 1;  // the unknown cell arrives over the window
+  Gateway gateway(cluster.get(), config);
+  Collector collector;
+
+  cluster->simulator().schedule_at(0, [&] {
+    std::vector<Submission> batch;
+    batch.push_back(Submission{serving_request(0, 0), collector.callback(0)});
+    batch.push_back(Submission{serving_request(1, 999), collector.callback(1)});
+    batch.push_back(Submission{serving_request(2, 1), collector.callback(2)});
+    gateway.submit_batch(std::move(batch));
+    ASSERT_EQ(collector.outcomes.size(), 1u);
+    EXPECT_EQ(collector.outcomes[0].id, 1);
+    EXPECT_EQ(collector.outcomes[0].disposition, Disposition::kRejected);
+    EXPECT_EQ(gateway.pending(), 1u);  // cell 2 queued, not shed
+  });
+  cluster->run_to_completion();
+
+  // Every callback fired exactly once.
+  ASSERT_EQ(collector.outcomes.size(), 3u);
+  std::vector<std::int64_t> ids;
+  for (const Outcome& o : collector.outcomes) ids.push_back(o.id);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{0, 1, 2}));
+  EXPECT_EQ(collector.count(Disposition::kRejected), 1u);
+  EXPECT_EQ(collector.count(Disposition::kCompleted), 2u);
+  EXPECT_EQ(gateway.counters().rejected, 1);
+  EXPECT_EQ(gateway.counters().shed, 0);
+  EXPECT_EQ(cluster->engine().completions().size(), 2u);
 }
 
 TEST(GatewayAdmissionTest, ShedsUnderBurstBeyondWindowAndPendingBounds) {

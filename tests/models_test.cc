@@ -1,9 +1,9 @@
 // Unit tests for the model zoo (Table I catalog), latency regression
-// models, registry, and the runtime profiler.
+// models and registry.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "models/latency_model.h"
-#include "models/profiler.h"
 #include "models/zoo.h"
 
 namespace gfaas::models {
@@ -181,25 +181,6 @@ TEST(LatencyOracleTest, ReturnsProfiledTimes) {
   EXPECT_NEAR(static_cast<double>(*infer), 1.28e6, 2.0);
   EXPECT_FALSE(oracle.load_time(ModelId(99)).ok());
   EXPECT_FALSE(oracle.infer_time(ModelId(99), 32).ok());
-}
-
-TEST(ProfilerTest, ProfilesRealModelAndFitsRegression) {
-  Profiler profiler({1, 2, 4});
-  const ModelProfile& squeezenet = table1_catalog()[0];
-  auto result = profiler.profile(squeezenet, /*repeats=*/1);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->model, squeezenet.id);
-  ASSERT_EQ(result->points.size(), 3u);
-  // Larger batches must take longer on the real engine.
-  EXPECT_GT(result->points[2].latency, result->points[0].latency);
-  EXPECT_GT(result->fit.slope, 0.0);
-}
-
-TEST(ProfilerTest, RejectsBadArguments) {
-  Profiler empty(std::vector<std::int64_t>{});
-  EXPECT_FALSE(empty.profile(table1_catalog()[0]).ok());
-  Profiler ok_batches({1});
-  EXPECT_FALSE(ok_batches.profile(table1_catalog()[0], 0).ok());
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
-// End-to-end smoke test: the quickstart scenario (register a GPU-enabled
-// function, invoke it repeatedly on the paper's 3x4 cluster) plus one
+// End-to-end smoke test: the quickstart scenario (resnet50 served through
+// the Gateway on the paper's 3x4 cluster, invoked repeatedly) plus one
 // cluster::Experiment run over a standard workload. Guards the full
-// Gateway -> Scheduler -> GPU Manager -> Cache Manager -> Datastore
-// wiring that every example and bench binary depends on.
+// Gateway -> Scheduler -> GPU Manager -> Cache Manager wiring that every
+// example and bench binary depends on.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "cluster/experiment.h"
-#include "cluster/faas_cluster.h"
+#include "gateway/gateway.h"
 #include "models/zoo.h"
 #include "testing/builders.h"
 #include "testing/matchers.h"
@@ -18,32 +18,31 @@ namespace {
 
 TEST(SmokeTest, QuickstartScenarioCompletes) {
   // The quickstart example, minus stdout: paper testbed (3 nodes x 4
-  // GPUs), real scaled-down CPU inference, resnet50 behind a function.
-  ClusterConfig config;
-  config.execute_real_inference = true;
-  FaasCluster faas(config, models::ModelRegistry::full_catalog());
+  // GPUs), resnet50 behind the Gateway.
+  SimCluster cluster(ClusterConfig{}, models::ModelRegistry::full_catalog());
+  gateway::Gateway gateway(&cluster);
+  const auto model = models::find_model("resnet50");
+  ASSERT_TRUE(model.ok());
 
-  ASSERT_TRUE(
-      faas.gateway()
-          .register_function(testkit::gpu_function_spec("classify-image", "resnet50"))
-          .ok());
-
-  std::vector<SimTime> latencies;
+  std::vector<core::CompletionRecord> records;
   for (int i = 0; i < 3; ++i) {
-    faas.gateway().invoke("classify-image", {},
-                          [&](StatusOr<faas::InvocationResult> result) {
-                            ASSERT_TRUE(result.ok()) << result.status().to_string();
-                            EXPECT_FALSE(result->executed_on.empty());
-                            latencies.push_back(result->latency);
-                          });
-    faas.run_to_completion();
+    gateway.submit(testkit::make_request(i, model->id.value(), /*arrival=*/0),
+                   [&](const gateway::GatewayResult& result) {
+                     ASSERT_EQ(result.disposition, gateway::Disposition::kCompleted);
+                     records.push_back(result.record);
+                   });
+    cluster.run_to_completion();
   }
 
-  ASSERT_EQ(latencies.size(), 3u);
+  ASSERT_EQ(records.size(), 3u);
   // First invocation pays the model upload; the rest hit the GPU cache.
-  EXPECT_GT(latencies[0], latencies[1]);
-  EXPECT_GT(latencies[0], latencies[2]);
-  EXPECT_EQ(faas.sim_cluster().engine().completions().size(), 3u);
+  EXPECT_FALSE(records[0].cache_hit);
+  EXPECT_TRUE(records[1].cache_hit);
+  EXPECT_TRUE(records[2].cache_hit);
+  EXPECT_GT(records[0].latency(), records[1].latency());
+  EXPECT_GT(records[0].latency(), records[2].latency());
+  EXPECT_EQ(cluster.engine().completions().size(), 3u);
+  EXPECT_EQ(gateway.counters().completed, 3);
 }
 
 TEST(SmokeTest, BuilderClusterReplaysSequence) {

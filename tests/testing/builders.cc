@@ -44,24 +44,6 @@ models::ModelRegistry head_registry(int count) {
   return registry;
 }
 
-faas::FunctionSpec gpu_function_spec(const std::string& name,
-                                     const std::string& model) {
-  faas::FunctionSpec spec;
-  spec.name = name;
-  spec.dockerfile =
-      "FROM gfaas/base\nENV GPU_ENABLED=1\nENV GFAAS_MODEL=" + model + "\n";
-  return spec;
-}
-
-faas::FunctionSpec cpu_function_spec(const std::string& name,
-                                     faas::Handler handler) {
-  faas::FunctionSpec spec;
-  spec.name = name;
-  spec.dockerfile = "FROM gfaas/base\n";
-  spec.handler = std::move(handler);
-  return spec;
-}
-
 trace::Workload make_workload(std::size_t working_set, std::uint64_t seed,
                               std::int64_t window_minutes) {
   trace::WorkloadConfig config;
@@ -108,19 +90,9 @@ ClusterBuilder& ClusterBuilder::models(int count) {
   return *this;
 }
 
-ClusterBuilder& ClusterBuilder::real_inference(bool on) {
-  config_.execute_real_inference = on;
-  return *this;
-}
-
 std::unique_ptr<cluster::SimCluster> ClusterBuilder::build() const {
   return std::make_unique<cluster::SimCluster>(config_,
                                                head_registry(model_count_));
-}
-
-std::unique_ptr<cluster::FaasCluster> ClusterBuilder::build_faas() const {
-  return std::make_unique<cluster::FaasCluster>(config_,
-                                                head_registry(model_count_));
 }
 
 }  // namespace gfaas::testkit

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cluster/experiment.h"
-#include "cluster/faas_cluster.h"
 #include "trace/workload.h"
 
 namespace gfaas::testkit {
@@ -30,14 +29,6 @@ std::vector<core::Request> make_request_sequence(std::int64_t count,
 // resnet18, resnet34, ...).
 models::ModelRegistry head_registry(int count);
 
-// GPU-enabled FunctionSpec whose Dockerfile routes inference to `model`.
-faas::FunctionSpec gpu_function_spec(const std::string& name,
-                                     const std::string& model);
-
-// Plain CPU FunctionSpec running `handler` in its container.
-faas::FunctionSpec cpu_function_spec(const std::string& name,
-                                     faas::Handler handler = nullptr);
-
 // Deterministic standard workload over a synthesized Azure trace.
 // CHECK-fails on config errors so tests receive a value directly.
 trace::Workload make_workload(std::size_t working_set, std::uint64_t seed,
@@ -57,12 +48,10 @@ class ClusterBuilder {
   ClusterBuilder& o3_limit(int limit);
   ClusterBuilder& cache_policy(cache::PolicyKind kind);
   ClusterBuilder& models(int count);
-  ClusterBuilder& real_inference(bool on);
 
   const cluster::ClusterConfig& config() const { return config_; }
 
   std::unique_ptr<cluster::SimCluster> build() const;
-  std::unique_ptr<cluster::FaasCluster> build_faas() const;
 
  private:
   cluster::ClusterConfig config_;
